@@ -13,15 +13,50 @@ pub mod experiments;
 
 pub use experiments::*;
 
-/// Absolute path of a benchmark artifact at the **repository root**
-/// (`BENCH_seq.json`, `BENCH_dist.json`). The repo root is two levels
-/// above this crate's manifest, resolved at compile time — stable no
-/// matter which directory the binary is invoked from, unlike the old
-/// `target/`-relative paths that landed wherever the CWD happened to
-/// be. The emitted files are committed, so the perf trajectory diffs
-/// across PRs.
+/// Path of a benchmark artifact (`BENCH_seq.json`, `BENCH_dist.json`, …)
+/// at the root of the workspace the binary is run in: the nearest
+/// directory at or above the current directory whose `Cargo.toml`
+/// declares `[workspace]` (see [`workspace_root_from`]). Resolved at run
+/// time, so a binary copied out of (or a `target/` copied into) another
+/// checkout writes into the checkout it runs in, never the one it was
+/// compiled in. The emitted files are committed, so the perf trajectory
+/// diffs across PRs.
+///
+/// Exits the process with status 1, naming the directory, when no
+/// workspace encloses the current directory — an artifact written
+/// anywhere else would be silently lost.
 pub fn bench_artifact_path(name: &str) -> String {
-    format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
+    let cwd = std::env::current_dir().unwrap_or_else(|e| {
+        eprintln!("error: cannot read the current directory: {e}");
+        std::process::exit(1)
+    });
+    match workspace_root_from(&cwd) {
+        Ok(root) => root.join(name).display().to_string(),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
+/// The nearest directory at or above `start` holding a `Cargo.toml` that
+/// declares `[workspace]`, or an error naming `start`.
+pub fn workspace_root_from(start: &std::path::Path) -> Result<std::path::PathBuf, String> {
+    let declares_workspace = |dir: &std::path::Path| {
+        std::fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+    };
+    start
+        .ancestors()
+        .find(|dir| declares_workspace(dir))
+        .map(std::path::Path::to_path_buf)
+        .ok_or_else(|| {
+            format!(
+                "no Cargo.toml declaring [workspace] at or above {}; \
+                 run from inside the repository to write benchmark artifacts",
+                start.display()
+            )
+        })
 }
 
 /// Exit code the `repro_*` binaries use when a simulated rank fails.
@@ -55,4 +90,37 @@ pub fn rank_failure_report(context: &str, err: &fastmm_parsim::RankFailed) -> St
 pub fn exit_on_rank_failure(context: &str, err: &fastmm_parsim::RankFailed) -> ! {
     eprintln!("{}", rank_failure_report(context, err));
     std::process::exit(RANK_FAILURE_EXIT_CODE);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::workspace_root_from;
+
+    #[test]
+    fn workspace_root_is_found_at_run_time_from_any_subdirectory() {
+        let tmp = std::env::temp_dir().join(format!("fastmm-ws-root-{}", std::process::id()));
+        let ws = tmp.join("ws");
+        let deep = ws.join("crates").join("member").join("src");
+        std::fs::create_dir_all(&deep).unwrap();
+        std::fs::write(
+            ws.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/member\"]\n",
+        )
+        .unwrap();
+        // A member manifest without [workspace] is walked past.
+        std::fs::write(
+            ws.join("crates").join("member").join("Cargo.toml"),
+            "[package]\nname = \"member\"\n[workspace.dependencies]\n",
+        )
+        .unwrap();
+        assert_eq!(workspace_root_from(&deep).unwrap(), ws);
+        assert_eq!(workspace_root_from(&ws).unwrap(), ws);
+
+        // Outside any workspace: the error names the starting directory.
+        let lone = tmp.join("lone");
+        std::fs::create_dir_all(&lone).unwrap();
+        let err = workspace_root_from(&lone).unwrap_err();
+        assert!(err.contains(&lone.display().to_string()), "{err}");
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
 }

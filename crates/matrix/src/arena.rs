@@ -9,12 +9,13 @@
 //! views of the *original* operands instead of materializing block copies:
 //!
 //! * encoding `T_l = Σ_q U[l][q]·A_q` reads the source blocks straight
-//!   through grid views and accumulates into one preallocated arena buffer
-//!   via the fused AXPY row kernel [`crate::dense::axpy_row`]
+//!   through strided views of the operand and writes one preallocated
+//!   arena buffer in a single pass, band by band of L1-sized rows, with
+//!   the fused row kernels [`crate::dense::assign_row`] and [`crate::dense::axpy_row`]
 //!   ([`encode_a_into`]/[`encode_b_into`], shared with the parallel BFS
 //!   encoder);
-//! * each product `M_l` decodes by writing through strided `C` blocks
-//!   ([`decode_product_into`]) with no intermediate result matrix;
+//! * each product `M_l` decodes by writing through strided rows of the
+//!   `C` blocks with no intermediate result matrix;
 //! * non-divisible levels zero-extend row-wise into the arena
 //!   ([`MatMut::zero_extend_from`]) instead of building an
 //!   element-at-a-time padded copy.
@@ -27,17 +28,42 @@
 //! Equation (1) recurrence `IO(n) ≤ r·IO(n/n₀) + O(n²)` whose solution the
 //! paper's Theorem 1.1 lower-bounds.
 //!
+//! ## Write-once temporaries
+//!
+//! No temporary is zero-filled. `T_l`, `S_l`, `M_l` and the pad product
+//! are each written exactly once per product, whatever the arena buffer
+//! held before:
+//!
+//! * **encode** assigns the first nonzero term of `U[l]` (or `V[l]`) as
+//!   `0 + c·x` and accumulates the rest, band by band of rows;
+//! * **decode** is *first-touch*: walking `M_l` band by band, block `C_q`
+//!   is assigned `0 + w·M_l` when `l` is the first nonzero of `W`'s row
+//!   `q`, and accumulates otherwise — every Brent-verified scheme has a
+//!   nonzero in each row of `W` (asserted), so every block is written;
+//! * the **leaf** is the overwriting packed kernel
+//!   [`multiply_packed_overwrite_into`] (`C = A·B`, accumulators start at
+//!   zero instead of loading `C`).
+//!
+//! The public pieces keep their contracts: [`multiply_into`] is called
+//! with a zeroed `c`, [`decode_product_into`] and
+//! [`crate::pack::multiply_packed_into`] accumulate, and
+//! [`encode_a_into`]/[`encode_b_into`] give on any buffer what they gave
+//! on a zeroed one — so a re-walk of the recursion that zero-fills and
+//! accumulates still reproduces the engine bit for bit.
+//!
 //! ## Bit-determinism
 //!
 //! The engine preserves the historical scalar arithmetic exactly: encode
-//! accumulates blocks in ascending `q`, products run in order
-//! `l = 0, 1, …, r-1`, decode accumulates `W`-column nonzeros in ascending
-//! `q`, and the base case is the packed micro-kernel
-//! [`multiply_packed_into`], whose
-//! default build is bit-identical to `multiply_ikj` (see the
-//! [`crate::pack`] contract) — exactly like the cache-blocked kernel it
-//! replaced. Outputs are therefore bit-identical to the legacy copy-out
-//! engine
+//! combines blocks in ascending `q`, products run in order
+//! `l = 0, 1, …, r-1`, decode combines `W`-column nonzeros in ascending
+//! `q`, and the base case is the packed micro-kernel, whose default build
+//! is bit-identical to `multiply_ikj` (see the [`crate::pack`] contract)
+//! — exactly like the cache-blocked kernel it replaced. Writing once
+//! changes no bit: the first term of every encode, decode and leaf
+//! accumulator is `0 + x` computed from the same `T::zero()` a zeroed
+//! buffer would have held — not a copy, which over floats would keep a
+//! `-0.0` that `0 + (-0.0) = +0.0` does not. Outputs are therefore
+//! bit-identical to the legacy copy-out engine
 //! ([`multiply_scheme_legacy`](crate::recursive::multiply_scheme_legacy))
 //! at every cutoff and thread count — enforced by the determinism suite
 //! (`crates/matrix/tests/determinism.rs`). [`multiply_into_unpacked`]
@@ -48,10 +74,10 @@
 //! word-traffic model charges, so the modeled asymptotics are unchanged.
 
 use crate::classical::multiply_kernel_into;
-use crate::dense::{MatMut, MatRef};
-use crate::pack::multiply_packed_into;
+use crate::dense::{assign_row, axpy_row, MatMut, MatRef};
+use crate::pack::multiply_packed_overwrite_into;
 use crate::scalar::Scalar;
-use crate::scheme::BilinearScheme;
+use crate::scheme::{BilinearScheme, Coeffs};
 
 /// A pool of reusable scratch buffers — the arena backing the DFS hot
 /// path (per worker thread in the parallel engine, per worker shard in
@@ -247,11 +273,64 @@ pub(crate) fn dfs_working_set(
     total
 }
 
-/// Fused encode of product `l`'s left operand: `ta += Σ_q U[l][q] · A_q`,
-/// reading the `A` blocks through strided grid views and accumulating with
-/// [`crate::dense::axpy_row`]. `ta` must enter zeroed; blocks accumulate in
-/// ascending `q` (the bit-determinism contract). Shared by the sequential
-/// recursion, the non-stationary engine, and the parallel BFS encoder.
+/// Bytes of destination rows the encode and decode kernels update per
+/// pass over their terms: a band of rows stays in L1 while every term of
+/// the combination lands on it. Rows this wide or wider go one at a time;
+/// the narrow rows of nodes near the leaves go many at a time, so the
+/// coefficient scan and block slicing are paid once per band, not once
+/// per row.
+const ROW_BAND_BYTES: usize = 8 * 1024;
+
+/// Rows of `cols` elements per band (at least one).
+fn band_rows<T>(cols: usize) -> usize {
+    (ROW_BAND_BYTES / (cols * std::mem::size_of::<T>()).max(1)).max(1)
+}
+
+/// Write-once encode: `t = Σ_q coeffs[l][q] · src_q` over the blocks of
+/// the `gr x gc` grid over `src`, whatever `t` held before. Band by band
+/// of rows, the first nonzero term is assigned as `0 + c·x`
+/// ([`assign_row`]) and the rest accumulate in ascending `q`
+/// ([`axpy_row`]) while the band is still in L1, so every source block is
+/// read once and `t` written once. A product with no terms encodes to
+/// zeros.
+fn encode_rows<T: Scalar>(
+    coeffs: &Coeffs,
+    l: usize,
+    src: MatRef<'_, T>,
+    (gr, gc): (usize, usize),
+    t: &mut MatMut<'_, T>,
+) {
+    let (rows, cols) = (t.rows(), t.cols());
+    assert_eq!(
+        (src.rows(), src.cols()),
+        (rows * gr, cols * gc),
+        "encode target must be one block of the operand grid"
+    );
+    if coeffs.row_entries(l).next().is_none() {
+        t.fill_zero();
+        return;
+    }
+    let band = band_rows::<T>(cols);
+    for i0 in (0..rows).step_by(band) {
+        for (k, (q, c)) in coeffs.row_entries(l).enumerate() {
+            let blk = src.grid_block_rect(gr, gc, q / gc, q % gc);
+            for i in i0..(i0 + band).min(rows) {
+                if k == 0 {
+                    assign_row(t.row_mut(i), blk.row(i), c);
+                } else {
+                    axpy_row(t.row_mut(i), blk.row(i), c);
+                }
+            }
+        }
+    }
+}
+
+/// Fused encode of product `l`'s left operand: `ta = Σ_q U[l][q] · A_q`,
+/// reading the `A` blocks through strided views of the original operand.
+/// Write-once: `ta`'s prior contents are ignored (see the module docs'
+/// bit-determinism section); blocks combine in ascending `q`. Shared by
+/// the sequential recursion, the non-stationary engine, the parallel BFS
+/// encoder and the distributed engine.
 #[inline]
 pub fn encode_a_into<T: Scalar>(
     scheme: &BilinearScheme,
@@ -259,13 +338,10 @@ pub fn encode_a_into<T: Scalar>(
     l: usize,
     ta: &mut MatMut<'_, T>,
 ) {
-    let (bm, bk, _) = scheme.dims();
-    for (q, c) in scheme.u.row_entries(l) {
-        ta.accumulate_scaled(a.grid_block_rect(bm, bk, q / bk, q % bk), c);
-    }
+    encode_rows(&scheme.u, l, a, (scheme.bm, scheme.bk), ta);
 }
 
-/// Fused encode of product `l`'s right operand: `tb += Σ_q V[l][q] · B_q`
+/// Fused encode of product `l`'s right operand: `tb = Σ_q V[l][q] · B_q`
 /// (see [`encode_a_into`]).
 #[inline]
 pub fn encode_b_into<T: Scalar>(
@@ -274,15 +350,51 @@ pub fn encode_b_into<T: Scalar>(
     l: usize,
     tb: &mut MatMut<'_, T>,
 ) {
-    let (_, bk, bn) = scheme.dims();
-    for (q, c) in scheme.v.row_entries(l) {
-        tb.accumulate_scaled(b.grid_block_rect(bk, bn, q / bn, q % bn), c);
+    encode_rows(&scheme.v, l, b, (scheme.bk, scheme.bn), tb);
+}
+
+/// Decode of product `l`, band by band of `M_l`'s rows: every nonzero
+/// `W[q][l]`, in ascending `q`, updates the matching rows of `C_q` while
+/// the `M_l` band is in L1, so `M_l` is read once. With `first_touch`, a
+/// block whose first nonzero of `W`'s row `q` is `l` is assigned
+/// (`0 + w·M_l`, [`assign_row`]) instead of accumulated, so the caller's
+/// `c` need not be zeroed as long as products arrive in ascending `l`.
+fn decode_rows<T: Scalar>(
+    scheme: &BilinearScheme,
+    m: MatRef<'_, T>,
+    l: usize,
+    c: &mut MatMut<'_, T>,
+    first_touch: bool,
+) {
+    let (bm, _, bn) = scheme.dims();
+    let (rows, cols) = (m.rows(), m.cols());
+    assert_eq!(
+        (c.rows(), c.cols()),
+        (rows * bm, cols * bn),
+        "product must be one block of the output grid"
+    );
+    let band = band_rows::<T>(cols);
+    for i0 in (0..rows).step_by(band) {
+        for (q, wc) in scheme.w.col_entries(l) {
+            let assign = first_touch && scheme.w.row_entries(q).next().map(|(j, _)| j) == Some(l);
+            let mut cq = c.grid_block_rect_mut(bm, bn, q / bn, q % bn);
+            for i in i0..(i0 + band).min(rows) {
+                if assign {
+                    assign_row(cq.row_mut(i), m.row(i), wc);
+                } else {
+                    axpy_row(cq.row_mut(i), m.row(i), wc);
+                }
+            }
+        }
     }
 }
 
 /// Fused decode of product `l`: `C_q += W[q][l] · M_l` for every nonzero
 /// of `W`'s column `l`, writing through strided `C` grid blocks in
-/// ascending `q` — no intermediate result matrix is ever materialized.
+/// ascending `q` — no intermediate result matrix is ever materialized. Accumulates
+/// into whatever `c` holds; the engines themselves run a first-touch
+/// variant that assigns each block from its first product instead (see
+/// the module docs' write-once section).
 #[inline]
 pub fn decode_product_into<T: Scalar>(
     scheme: &BilinearScheme,
@@ -290,17 +402,38 @@ pub fn decode_product_into<T: Scalar>(
     l: usize,
     c: &mut MatMut<'_, T>,
 ) {
-    let (bm, _, bn) = scheme.dims();
-    for (q, wc) in scheme.w.col_entries(l) {
-        c.grid_block_rect_mut(bm, bn, q / bn, q % bn)
-            .accumulate_scaled(m, wc);
+    decode_rows(scheme, m, l, c, false);
+}
+
+/// First-touch decode of product `l`, the engines' decode: as
+/// [`decode_product_into`], except that each block `C_q` is *assigned*
+/// `0 + W[q][l]·M_l` when `l` is the first nonzero of `W`'s row `q`. Run
+/// for `l = 0, 1, …, r-1` in order it writes every element of `c` —
+/// whatever `c` held — with the bits the accumulating decode gives on a
+/// zeroed `c`. Panics if some row of `W` is all zero (that block would
+/// never be written); every Brent-verified scheme has a nonzero in each
+/// row, since each output block is a nonzero bilinear form.
+pub(crate) fn decode_product_first_touch<T: Scalar>(
+    scheme: &BilinearScheme,
+    m: MatRef<'_, T>,
+    l: usize,
+    c: &mut MatMut<'_, T>,
+) {
+    if l == 0 {
+        assert!(
+            (0..scheme.w.rows()).all(|q| scheme.w.row_entries(q).next().is_some()),
+            "scheme {}: a row of W has no nonzero, so its output block is never decoded",
+            scheme.name
+        );
     }
+    decode_rows(scheme, m, l, c, true);
 }
 
 /// The arena recursion: computes `c = a * b` into a **zeroed** `c` with
 /// `scheme`, padding per level on non-divisible shapes and running the
-/// cache-blocked base kernel below `cutoff`, with every temporary drawn
-/// from — and returned to — `arena`.
+/// packed base kernel below `cutoff`, with every temporary drawn from —
+/// and returned to — `arena`. (Internally each node overwrites its
+/// output — see the module docs' write-once section.)
 ///
 /// Zero-dimension shapes are defined: if any of `M`, `K`, `N` is zero the
 /// product is the all-zero `M x N` matrix (empty when `M` or `N` is zero),
@@ -340,7 +473,9 @@ pub fn multiply_into<T: Scalar>(
 /// e11 `repro_perf` table), so the kernel swap stays measurable across
 /// PRs. Bit-identical to [`multiply_into`] in the default build (both
 /// base cases reproduce `multiply_ikj` exactly); under the `fma` feature
-/// this variant keeps the unfused arithmetic.
+/// this variant keeps the unfused arithmetic. Its leaf zero-fills the
+/// product block and then accumulates, the one fill the write-once
+/// recursion keeps (the ikj kernel has no overwriting form).
 pub fn multiply_into_unpacked<T: Scalar>(
     scheme: &BilinearScheme,
     a: MatRef<'_, T>,
@@ -353,7 +488,10 @@ pub fn multiply_into_unpacked<T: Scalar>(
 }
 
 /// The recursion body, monomorphized over the base-case choice so the
-/// packed default pays no per-leaf branch.
+/// packed default pays no per-leaf branch. Writes every element of `c`
+/// whatever it held (the zero-dimension early return aside, which only
+/// the top call can take: a splitting node's children have every
+/// dimension at least 1).
 fn multiply_into_impl<T: Scalar, const PACKED: bool>(
     scheme: &BilinearScheme,
     a: MatRef<'_, T>,
@@ -373,8 +511,9 @@ fn multiply_into_impl<T: Scalar, const PACKED: bool>(
     let dims = scheme.dims();
     if !splits(dims, shape, cutoff) {
         if PACKED {
-            multiply_packed_into(a, b, c, arena);
+            multiply_packed_overwrite_into(a, b, c, arena);
         } else {
+            c.fill_zero();
             multiply_kernel_into(a, b, c);
         }
         return;
@@ -383,13 +522,14 @@ fn multiply_into_impl<T: Scalar, const PACKED: bool>(
     let (pm, pk, pn) = padded(dims, shape);
     if (pm, pk, pn) != shape {
         // Non-divisible level: zero-extend both operands row-wise into the
-        // arena (every element of the pad buffers is overwritten, so they
-        // are taken unzeroed), recurse at the padded shape, crop back.
+        // arena, recurse at the padded shape, crop back. Every element of
+        // the three pad buffers is overwritten (the recursion writes all
+        // of `pc`), so they are taken unzeroed.
         let mut pa = arena.take_any(pm * pk);
         MatMut::from_slice(&mut pa, pm, pk).zero_extend_from(a);
         let mut pb = arena.take_any(pk * pn);
         MatMut::from_slice(&mut pb, pk, pn).zero_extend_from(b);
-        let mut pc = arena.take(pm * pn);
+        let mut pc = arena.take_any(pm * pn);
         multiply_into_impl::<T, PACKED>(
             scheme,
             MatRef::from_slice(&pa, pm, pk),
@@ -410,11 +550,8 @@ fn multiply_into_impl<T: Scalar, const PACKED: bool>(
     let mut tb = arena.take_any(sk * sn);
     let mut mbuf = arena.take_any(sm * sn);
     for l in 0..scheme.r {
-        ta.fill(T::zero());
         encode_a_into(scheme, a, l, &mut MatMut::from_slice(&mut ta, sm, sk));
-        tb.fill(T::zero());
         encode_b_into(scheme, b, l, &mut MatMut::from_slice(&mut tb, sk, sn));
-        mbuf.fill(T::zero());
         multiply_into_impl::<T, PACKED>(
             scheme,
             MatRef::from_slice(&ta, sm, sk),
@@ -423,7 +560,7 @@ fn multiply_into_impl<T: Scalar, const PACKED: bool>(
             cutoff,
             arena,
         );
-        decode_product_into(scheme, MatRef::from_slice(&mbuf, sm, sn), l, c);
+        decode_product_first_touch(scheme, MatRef::from_slice(&mbuf, sm, sn), l, c);
     }
     arena.give(ta);
     arena.give(tb);
@@ -656,6 +793,85 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A random operand with `-0.0` sprinkled in, so assign-vs-copy
+    /// differences (`0 + (-0.0) = +0.0`) would show in the bits.
+    fn with_signed_zeros(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix<f64> {
+        let mut m = Matrix::<f64>::random(rows, cols, rng);
+        for i in 0..rows {
+            for j in 0..cols {
+                if (i * 7 + j * 3) % 5 == 0 {
+                    m[(i, j)] = -0.0;
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn encode_is_write_once_into_any_buffer() {
+        // The engines hand encode unzeroed arena buffers: into a
+        // NaN-filled buffer it must give the bits it gives into a zeroed
+        // one, for every product of every registry scheme.
+        let mut rng = StdRng::seed_from_u64(69);
+        for scheme in all_schemes() {
+            let (bm, bk, bn) = scheme.dims();
+            let (sm, sk, sn) = (3usize, 5usize, 4usize);
+            let a = with_signed_zeros(bm * sm, bk * sk, &mut rng);
+            let b = with_signed_zeros(bk * sk, bn * sn, &mut rng);
+            for l in 0..scheme.r {
+                let mut ta_zero = Matrix::zeros(sm, sk);
+                encode_a_into(&scheme, a.view(), l, &mut ta_zero.view_mut());
+                let mut ta_nan = Matrix::from_fn(sm, sk, |_, _| f64::NAN);
+                encode_a_into(&scheme, a.view(), l, &mut ta_nan.view_mut());
+                assert!(ta_nan.bits_eq(&ta_zero), "{} l={l}: T_l", scheme.name);
+                let mut tb_zero = Matrix::zeros(sk, sn);
+                encode_b_into(&scheme, b.view(), l, &mut tb_zero.view_mut());
+                let mut tb_nan = Matrix::from_fn(sk, sn, |_, _| f64::NAN);
+                encode_b_into(&scheme, b.view(), l, &mut tb_nan.view_mut());
+                assert!(tb_nan.bits_eq(&tb_zero), "{} l={l}: S_l", scheme.name);
+            }
+        }
+    }
+
+    #[test]
+    fn first_touch_decode_matches_accumulate_into_zeros() {
+        // Decoding l = 0..r in order, first-touch into a NaN-filled C
+        // equals the public accumulating decode into a zeroed C, bitwise.
+        let mut rng = StdRng::seed_from_u64(70);
+        for scheme in all_schemes() {
+            let (bm, _, bn) = scheme.dims();
+            let (sm, sn) = (3usize, 4usize);
+            let products: Vec<Matrix<f64>> = (0..scheme.r)
+                .map(|_| with_signed_zeros(sm, sn, &mut rng))
+                .collect();
+            let mut c_zero = Matrix::zeros(bm * sm, bn * sn);
+            let mut c_nan = Matrix::from_fn(bm * sm, bn * sn, |_, _| f64::NAN);
+            for (l, m) in products.iter().enumerate() {
+                decode_product_into(&scheme, m.view(), l, &mut c_zero.view_mut());
+                decode_product_first_touch(&scheme, m.view(), l, &mut c_nan.view_mut());
+            }
+            assert!(c_nan.bits_eq(&c_zero), "{}", scheme.name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a row of W has no nonzero")]
+    fn first_touch_decode_rejects_a_scheme_that_never_writes_a_block() {
+        let mut s = strassen();
+        for l in 0..s.r {
+            s.w.set(0, l, 0);
+        }
+        let mut c = Matrix::<f64>::zeros(4, 4);
+        multiply_into(
+            &s,
+            Matrix::identity(4).view(),
+            Matrix::identity(4).view(),
+            &mut c.view_mut(),
+            1,
+            &mut ScratchArena::new(),
+        );
     }
 
     #[test]

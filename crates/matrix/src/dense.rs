@@ -19,9 +19,10 @@ use rand::Rng;
 /// [`Scalar::add_scaled`] — `add` for `c == 1`, `sub` for `c == -1`, and
 /// `add(mul(from_i64(c)))` otherwise — in ascending `j`, so it is
 /// bit-identical to the historical per-element loop. It is the shared
-/// encode/decode kernel of both recursive engines (see
-/// [`crate::arena`]): every `T_l += U[l][q]·A_q` block accumulation and
-/// every `C_q += W[q][l]·M_l` decode runs through here, row by row.
+/// encode/decode kernel of the recursive engines (see [`crate::arena`]):
+/// every `T_l += U[l][q]·A_q` term and every `C_q += W[q][l]·M_l` decode
+/// after the first runs through here, row by row ([`assign_row`] writes
+/// the first).
 #[inline]
 pub fn axpy_row<T: Scalar>(dst: &mut [T], src: &[T], c: i64) {
     debug_assert_eq!(dst.len(), src.len());
@@ -40,6 +41,41 @@ pub fn axpy_row<T: Scalar>(dst: &mut [T], src: &[T], c: i64) {
         _ => {
             for (d, &s) in dst.iter_mut().zip(src) {
                 *d = d.add_scaled(s, c);
+            }
+        }
+    }
+}
+
+/// Assigning counterpart of [`axpy_row`]: `dst[j] = 0 + c * src[j]`,
+/// whatever `dst` held before, with the same hoisted `±1`/general
+/// dispatch.
+///
+/// **Bit-compatibility:** per element this is exactly [`axpy_row`] into a
+/// zeroed row — `zero().add(s)`, `zero().sub(s)` or
+/// `zero().add_scaled(s, c)` — so it is *not* a plain copy or negate:
+/// over floats `0 + (−0.0)` is `+0.0` and `0 − (+0.0)` is `+0.0`. It is
+/// the first-term kernel of the write-once encode and decode of
+/// [`crate::arena`], which is what lets the engines skip zero-filling
+/// their temporaries without changing a bit.
+#[inline]
+pub fn assign_row<T: Scalar>(dst: &mut [T], src: &[T], c: i64) {
+    debug_assert_eq!(dst.len(), src.len());
+    let z = T::zero();
+    match c {
+        0 => dst.fill(z),
+        1 => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = z.add(s);
+            }
+        }
+        -1 => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = z.sub(s);
+            }
+        }
+        _ => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = z.add_scaled(s, c);
             }
         }
     }
@@ -660,6 +696,37 @@ mod tests {
                 "c={c}: fused kernel reassociated"
             );
         }
+    }
+
+    #[test]
+    fn assign_row_equals_axpy_into_zeroed_row_bitwise() {
+        // The write-once engine's first term must be `0 + c·x`, not a
+        // copy or negate: those keep −0.0 (c = 1) or make −0.0 from +0.0
+        // (c = −1), where the zero-fill-then-accumulate order gives +0.0.
+        let src = [
+            0.0f64,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.25,
+        ];
+        for c in [1i64, -1, 2, -3] {
+            let mut assigned = [f64::NAN; 8];
+            assign_row(&mut assigned, &src, c);
+            let mut accumulated = [0.0f64; 8];
+            axpy_row(&mut accumulated, &src, c);
+            assert_eq!(
+                assigned.map(f64::to_bits),
+                accumulated.map(f64::to_bits),
+                "c={c}: assign_row differs from axpy_row into zeros"
+            );
+        }
+        let mut negated = [0.0f64; 2];
+        assign_row(&mut negated, &[0.0, -0.0], -1);
+        assert_eq!(negated.map(f64::to_bits), [0.0f64, 0.0].map(f64::to_bits));
     }
 
     #[test]

@@ -38,6 +38,16 @@
 //! what lets the arena engine swap this kernel in without disturbing a
 //! single bitwise promise in the determinism suite.
 //!
+//! ## The overwrite entry
+//!
+//! [`multiply_packed_overwrite_into`] computes `C = A·B` and never reads
+//! `C`: on the first `KC` block each register tile starts at `T::zero()`
+//! instead of being loaded, and later blocks reload and accumulate as
+//! above. A zeroed `C` would have loaded exactly `T::zero()`, so the
+//! overwrite entry is bit-identical to [`multiply_packed_into`] on a
+//! zeroed `C` — which lets the arena engine hand its leaves product
+//! buffers that were never zero-filled.
+//!
 //! The SIMD story is runtime dispatch, not intrinsics: the generic body is
 //! recompiled under `#[target_feature(enable = "avx512f")]` and
 //! `"avx2"` wrappers and the best one is selected per call with
@@ -185,12 +195,14 @@ fn micro_kernel<T: Scalar, const MR: usize, const NR: usize>(
     }
 }
 
-/// The five-loop macro-kernel over pre-sized pack buffers. `C += A·B`;
-/// see the module docs for the loop structure and the bit-determinism
-/// argument. `#[inline(always)]` so the `#[target_feature]` wrappers
-/// below recompile the whole nest (packing included) at their ISA level.
+/// The five-loop macro-kernel over pre-sized pack buffers: `C += A·B`,
+/// or `C = A·B` when `OVERWRITE` (the first `KC` block starts its
+/// accumulators at zero instead of loading `C`). See the module docs for
+/// the loop structure and the bit-determinism argument.
+/// `#[inline(always)]` so the `#[target_feature]` wrappers below
+/// recompile the whole nest (packing included) at their ISA level.
 #[inline(always)]
-fn packed_body<T: Scalar, const MR: usize, const NR: usize>(
+fn packed_body<T: Scalar, const MR: usize, const NR: usize, const OVERWRITE: bool>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     c: &mut MatMut<'_, T>,
@@ -233,7 +245,7 @@ fn packed_body<T: Scalar, const MR: usize, const NR: usize>(
                         let mr_eff = MR.min(ic + mc - i0);
                         let apan = &ap[pi * kc * MR..(pi + 1) * kc * MR];
                         let mut acc = [[T::zero(); NR]; MR];
-                        {
+                        if !(OVERWRITE && pc == 0) {
                             let cv = c.as_ref();
                             for (ir, row) in acc.iter_mut().enumerate().take(mr_eff) {
                                 row[..nr_eff].copy_from_slice(&cv.row(i0 + ir)[j0..j0 + nr_eff]);
@@ -256,14 +268,14 @@ fn packed_body<T: Scalar, const MR: usize, const NR: usize>(
 /// dispatch in [`run_tile`] does).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn packed_body_avx512<T: Scalar, const MR: usize, const NR: usize>(
+unsafe fn packed_body_avx512<T: Scalar, const MR: usize, const NR: usize, const OVERWRITE: bool>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     c: &mut MatMut<'_, T>,
     ap: &mut [T],
     bp: &mut [T],
 ) {
-    packed_body::<T, MR, NR>(a, b, c, ap, bp)
+    packed_body::<T, MR, NR, OVERWRITE>(a, b, c, ap, bp)
 }
 
 /// AVX2 instantiation of the macro-kernel.
@@ -272,14 +284,14 @@ unsafe fn packed_body_avx512<T: Scalar, const MR: usize, const NR: usize>(
 /// dispatch in [`run_tile`] does).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn packed_body_avx2<T: Scalar, const MR: usize, const NR: usize>(
+unsafe fn packed_body_avx2<T: Scalar, const MR: usize, const NR: usize, const OVERWRITE: bool>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     c: &mut MatMut<'_, T>,
     ap: &mut [T],
     bp: &mut [T],
 ) {
-    packed_body::<T, MR, NR>(a, b, c, ap, bp)
+    packed_body::<T, MR, NR, OVERWRITE>(a, b, c, ap, bp)
 }
 
 /// Size the pack buffers from the arena and run the macro-kernel at the
@@ -287,7 +299,7 @@ unsafe fn packed_body_avx2<T: Scalar, const MR: usize, const NR: usize>(
 /// block (`≤ MC x KC`, rounded up to whole `MR` panels) and one `B` slab
 /// (`≤ KC x NC`, rounded up to whole `NR` panels); every element is
 /// written before it is read, so they are taken unzeroed.
-fn run_tile<T: Scalar, const MR: usize, const NR: usize>(
+fn run_tile<T: Scalar, const MR: usize, const NR: usize, const OVERWRITE: bool>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     c: &mut MatMut<'_, T>,
@@ -304,26 +316,27 @@ fn run_tile<T: Scalar, const MR: usize, const NR: usize>(
         #[cfg(target_arch = "x86_64")]
         // Safety: the matched level was detected on this CPU.
         (false, SimdLevel::Avx512) => unsafe {
-            packed_body_avx512::<T, MR, NR>(a, b, c, &mut ap, &mut bp)
+            packed_body_avx512::<T, MR, NR, OVERWRITE>(a, b, c, &mut ap, &mut bp)
         },
         #[cfg(target_arch = "x86_64")]
         // Safety: as above.
         (false, SimdLevel::Avx2) => unsafe {
-            packed_body_avx2::<T, MR, NR>(a, b, c, &mut ap, &mut bp)
+            packed_body_avx2::<T, MR, NR, OVERWRITE>(a, b, c, &mut ap, &mut bp)
         },
-        _ => packed_body::<T, MR, NR>(a, b, c, &mut ap, &mut bp),
+        _ => packed_body::<T, MR, NR, OVERWRITE>(a, b, c, &mut ap, &mut bp),
     }
     arena.give(ap);
     arena.give(bp);
 }
 
-/// Shared entry logic: shape checks, the tiny-shape fall-through to the
-/// legacy kernel, and the `(MR, NR)` tile dispatch. Associated consts
+/// Shared entry logic: shape checks, the tiny-shape (and empty-`K`)
+/// fall-through to the legacy kernel — after zeroing `C` when
+/// `OVERWRITE` — and the `(MR, NR)` tile dispatch. Associated consts
 /// cannot parameterize array lengths on stable, so the supported tiles
 /// are monomorphized explicitly: `(8, 8)` (f64), `(8, 16)` (f32), and the
 /// conservative `(4, 4)` every other scalar (integers, `Fp`) uses — any
 /// unlisted combination also runs `(4, 4)`.
-fn dispatch<T: Scalar>(
+fn dispatch<T: Scalar, const OVERWRITE: bool>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     c: &mut MatMut<'_, T>,
@@ -334,32 +347,57 @@ fn dispatch<T: Scalar>(
     assert_eq!(c.rows(), a.rows());
     assert_eq!(c.cols(), b.cols());
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if m.max(k).max(n) <= PACK_MIN {
+    if k == 0 || m.max(k).max(n) <= PACK_MIN {
+        if OVERWRITE {
+            c.fill_zero();
+        }
         multiply_kernel_into(a, b, c);
         return;
     }
     match (T::MR, T::NR) {
-        (8, 8) => run_tile::<T, 8, 8>(a, b, c, arena, force_portable),
-        (8, 16) => run_tile::<T, 8, 16>(a, b, c, arena, force_portable),
-        _ => run_tile::<T, 4, 4>(a, b, c, arena, force_portable),
+        (8, 8) => run_tile::<T, 8, 8, OVERWRITE>(a, b, c, arena, force_portable),
+        (8, 16) => run_tile::<T, 8, 16, OVERWRITE>(a, b, c, arena, force_portable),
+        _ => run_tile::<T, 4, 4, OVERWRITE>(a, b, c, arena, force_portable),
     }
 }
 
-/// Packed accumulating product `C += A·B` — the base-case kernel of the
-/// recursive engines ([`crate::arena::multiply_into`], the parallel DFS
-/// leaves, the distributed rank-local
-/// [`multiply_flat`](crate::arena::multiply_flat)). Dispatches to the
-/// fastest instruction-set instantiation the CPU supports; bit-identical
-/// to [`multiply_kernel_into`]
-/// at every shape (see the module docs), so swapping it in changes no
-/// engine's output bits in the default build.
+/// Packed accumulating product `C += A·B` — the classical packed GEMM.
+/// The recursive engines ([`crate::arena::multiply_into`], the parallel
+/// DFS leaves, the distributed rank-local
+/// [`multiply_flat`](crate::arena::multiply_flat)) run its overwriting
+/// twin [`multiply_packed_overwrite_into`] at their leaves. Dispatches to
+/// the fastest instruction-set instantiation the CPU supports;
+/// bit-identical to [`multiply_kernel_into`] at every shape (see the
+/// module docs), so swapping it in changes no engine's output bits in the
+/// default build.
 pub fn multiply_packed_into<T: Scalar>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     c: &mut MatMut<'_, T>,
     arena: &mut ScratchArena<T>,
 ) {
-    dispatch(a, b, c, arena, false);
+    dispatch::<T, false>(a, b, c, arena, false);
+}
+
+/// Packed overwriting product `C = A·B`: whatever `C` held is ignored —
+/// the first `KC` block starts each register tile at zero instead of
+/// loading it from `C`, and every later block accumulates as in
+/// [`multiply_packed_into`]. The leaf of the arena engine
+/// ([`crate::arena::multiply_into`]), whose product buffers are never
+/// zero-filled.
+///
+/// **Bit-compatibility:** per output element the operations are those of
+/// [`multiply_packed_into`] into a zeroed `C` — the accumulator starts at
+/// `T::zero()`, the value a zeroed `C` would load — so the result is
+/// bit-identical to it (and, in the default build, to `multiply_ikj`).
+/// An empty inner dimension writes zeros.
+pub fn multiply_packed_overwrite_into<T: Scalar>(
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    c: &mut MatMut<'_, T>,
+    arena: &mut ScratchArena<T>,
+) {
+    dispatch::<T, true>(a, b, c, arena, false);
 }
 
 /// [`multiply_packed_into`] with the runtime SIMD dispatch forced off —
@@ -372,7 +410,7 @@ pub fn multiply_packed_into_scalar<T: Scalar>(
     c: &mut MatMut<'_, T>,
     arena: &mut ScratchArena<T>,
 ) {
-    dispatch(a, b, c, arena, true);
+    dispatch::<T, false>(a, b, c, arena, true);
 }
 
 #[cfg(test)]
@@ -471,6 +509,35 @@ mod tests {
         assert!(c1.bits_eq(&c2), "accumulation diverged from legacy kernel");
         #[cfg(feature = "fma")]
         assert!(c1.max_abs_diff(&c2, |x| x) < 1e-9 * k as f64);
+    }
+
+    #[test]
+    fn overwrite_ignores_c_and_matches_accumulate_into_zeros_bitwise() {
+        // The leaf of the write-once engine: whatever the product buffer
+        // held (NaN here), C = A·B equals C += A·B from a zeroed C, across
+        // every blocking boundary, tiny shapes and an empty inner dim.
+        let mut rng = StdRng::seed_from_u64(76);
+        let mut arena = ScratchArena::new();
+        for &(m, k, n) in SHAPES.iter().chain(&[(9, 0, 11)]) {
+            let a = Matrix::<f64>::random(m, k, &mut rng);
+            let b = Matrix::<f64>::random(k, n, &mut rng);
+            let mut over = Matrix::from_fn(m, n, |_, _| f64::NAN);
+            multiply_packed_overwrite_into(a.view(), b.view(), &mut over.view_mut(), &mut arena);
+            assert!(
+                over.bits_eq(&packed(&a, &b)),
+                "{m}x{k}x{n}: overwrite differs from accumulate into zeros"
+            );
+        }
+        let a = Matrix::random_fp(23, 300, &mut rng);
+        let b = Matrix::random_fp(300, 17, &mut rng);
+        let mut over = Matrix::from_fn(23, 17, |i, j| crate::scalar::Fp::new((i * j) as u64));
+        multiply_packed_overwrite_into(
+            a.view(),
+            b.view(),
+            &mut over.view_mut(),
+            &mut ScratchArena::new(),
+        );
+        assert_eq!(over, multiply_naive(&a, &b), "Fp overwrite");
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   sequential [`multiply_scheme`](crate::recursive::multiply_scheme),
 //!   so every DFS leaf bottoms out in the packed SIMD micro-kernel
 //!   ([`crate::pack`]) with pack panels drawn from the worker's own
-//!   arena, and the BFS task encoder runs the same fused encode kernels
+//!   arena, the BFS task encoder runs the same write-once encode kernels
 //!   ([`crate::arena::encode_a_into`]/[`crate::arena::encode_b_into`]),
-//!   so there is exactly one copy of the encode/decode arithmetic in the
+//!   and the BFS combine step runs the engine's first-touch decode, so
+//!   there is exactly one copy of the encode/decode arithmetic in the
 //!   codebase.
 //!
 //! The BFS/DFS switch point is chosen by [`plan_bfs_dfs`]: expand
@@ -46,8 +47,8 @@
 
 pub use crate::arena::ScratchArena;
 use crate::arena::{
-    child_shape, dfs_working_set, encode_a_into, encode_b_into, footprint, multiply_into, padded,
-    splits,
+    child_shape, decode_product_first_touch, dfs_working_set, encode_a_into, encode_b_into,
+    footprint, multiply_into, padded, splits,
 };
 use crate::dense::{MatMut, MatRef, Matrix};
 use crate::scalar::Scalar;
@@ -551,11 +552,11 @@ fn complete<T: Scalar>(exec: &Exec<'_, T>, start: usize) {
 }
 
 /// Build a completed node's product from its children: decode in product
-/// order `l = 0..r` (`Split`) or crop the padded result (`Pad`) —
-/// bit-identical to the sequential engine's combine arithmetic.
+/// order `l = 0..r` with the sequential engine's first-touch decode
+/// (`Split`) or crop the padded result (`Pad`) — bit-identical to the
+/// sequential engine's combine arithmetic.
 fn combine<T: Scalar>(exec: &Exec<'_, T>, p: usize) {
     let parent = &exec.nodes[p];
-    let (bm, _, bn) = exec.scheme.dims();
     let mut out = vec![T::zero(); parent.mm * parent.nn];
     match parent.kind {
         NodeKind::Split => {
@@ -564,13 +565,7 @@ fn combine<T: Scalar>(exec: &Exec<'_, T>, p: usize) {
                 let child = &exec.nodes[cid];
                 let m = std::mem::take(&mut *child.out.lock().unwrap());
                 let mref = MatRef::from_slice(&m, child.mm, child.nn);
-                for q in 0..bm * bn {
-                    let wc = exec.scheme.w.get(q, l);
-                    if wc != 0 {
-                        cm.grid_block_rect_mut(bm, bn, q / bn, q % bn)
-                            .accumulate_scaled(mref, wc);
-                    }
-                }
+                decode_product_first_touch(exec.scheme, mref, l, &mut cm);
             }
         }
         NodeKind::Pad => {
@@ -587,11 +582,13 @@ fn combine<T: Scalar>(exec: &Exec<'_, T>, p: usize) {
 }
 
 /// Encode one child's operand pair `(T_l, S_l)` from the parent's
-/// operands into fresh BFS-tree buffers, via the shared fused kernels
-/// ([`encode_a_into`]/[`encode_b_into`]) — the sequential engine's exact
-/// encode arithmetic, deduplicated (this function used to carry its own
-/// copy of the accumulate loops; a bitwise regression test in the tests
-/// module pins the shared kernels to that historical arithmetic).
+/// operands into fresh BFS-tree buffers, via the shared write-once
+/// kernels ([`encode_a_into`]/[`encode_b_into`]) — the sequential
+/// engine's exact encode arithmetic (a bitwise regression test in the
+/// tests module pins them to the historical accumulate loops). The
+/// kernels overwrite every element, so the buffers need no clearing pass
+/// of their own (for the float and integer scalars `vec![zero; n]` is a
+/// zeroed allocation, not a fill).
 fn encode_child<T: Scalar>(
     scheme: &BilinearScheme,
     pa: MatRef<'_, T>,

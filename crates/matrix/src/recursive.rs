@@ -27,7 +27,7 @@
 //! fixed here and locked in by `prop_schemes.rs`).
 
 use crate::arena::{
-    decode_product_into, encode_a_into, encode_b_into, multiply_into, ScratchArena,
+    decode_product_first_touch, encode_a_into, encode_b_into, multiply_into, ScratchArena,
 };
 use crate::classical::{multiply_kernel, multiply_kernel_into};
 use crate::dense::{MatMut, MatRef, Matrix};
@@ -223,10 +223,11 @@ pub fn multiply_winograd<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, cutoff: usize)
 /// fall-back-on-non-divisible contract (tested below) because a per-level
 /// scheme list pins the recursion shape explicitly.
 ///
-/// Runs on the same arena recursion as [`multiply_scheme`] (strided views,
-/// fused encode/decode kernels, zero hot-path allocation once warm); the
-/// base kernel is bit-identical to `multiply_ikj`, so outputs match the
-/// historical block-copy implementation bit for bit.
+/// Runs on the same write-once arena recursion as [`multiply_scheme`]
+/// (strided views, single-pass encode, first-touch decode, zero hot-path
+/// allocation once warm); the base kernel is bit-identical to
+/// `multiply_ikj`, so outputs match the historical block-copy
+/// implementation bit for bit.
 pub fn multiply_non_stationary<T: Scalar>(
     levels: &[&BilinearScheme],
     a: &Matrix<T>,
@@ -239,6 +240,9 @@ pub fn multiply_non_stationary<T: Scalar>(
     c
 }
 
+/// The non-stationary recursion body: writes `c = a * b` whatever `c`
+/// held, like the arena engine's (write-once encode, first-touch decode;
+/// the leaf zero-fills its block once and accumulates the ikj kernel).
 fn non_stationary_into<T: Scalar>(
     levels: &[&BilinearScheme],
     a: MatRef<'_, T>,
@@ -247,14 +251,18 @@ fn non_stationary_into<T: Scalar>(
     arena: &mut ScratchArena<T>,
 ) {
     let (mm, kk, nn) = (a.rows(), a.cols(), b.cols());
-    let (Some(scheme), rest) = (levels.first(), levels.get(1..).unwrap_or(&[])) else {
+    let leaf = |c: &mut MatMut<'_, T>| {
+        c.fill_zero();
         multiply_kernel_into(a, b, c);
+    };
+    let (Some(scheme), rest) = (levels.first(), levels.get(1..).unwrap_or(&[])) else {
+        leaf(c);
         return;
     };
     let (bm, bk, bn) = scheme.dims();
     let divisible = mm.is_multiple_of(bm) && kk.is_multiple_of(bk) && nn.is_multiple_of(bn);
     if !divisible || (mm / bm) * (kk / bk) * (nn / bn) >= mm * kk * nn {
-        multiply_kernel_into(a, b, c);
+        leaf(c);
         return;
     }
     let (sm, sk, sn) = (mm / bm, kk / bk, nn / bn);
@@ -262,11 +270,8 @@ fn non_stationary_into<T: Scalar>(
     let mut tb = arena.take_any(sk * sn);
     let mut mbuf = arena.take_any(sm * sn);
     for l in 0..scheme.r {
-        ta.fill(T::zero());
         encode_a_into(scheme, a, l, &mut MatMut::from_slice(&mut ta, sm, sk));
-        tb.fill(T::zero());
         encode_b_into(scheme, b, l, &mut MatMut::from_slice(&mut tb, sk, sn));
-        mbuf.fill(T::zero());
         non_stationary_into(
             rest,
             MatRef::from_slice(&ta, sm, sk),
@@ -274,7 +279,7 @@ fn non_stationary_into<T: Scalar>(
             &mut MatMut::from_slice(&mut mbuf, sm, sn),
             arena,
         );
-        decode_product_into(scheme, MatRef::from_slice(&mbuf, sm, sn), l, c);
+        decode_product_first_touch(scheme, MatRef::from_slice(&mbuf, sm, sn), l, c);
     }
     arena.give(ta);
     arena.give(tb);

@@ -10,7 +10,9 @@
 //!   copy-out engine (`multiply_scheme_legacy`, the golden witness kept
 //!   from before the arena unification), across cutoffs `{1, 8, 64}` —
 //!   so any reassociation introduced into the fused encode/decode kernels
-//!   or the row-wise pad path fails bitwise.
+//!   or the row-wise pad path fails bitwise — including on operands full
+//!   of `-0.0` and exactly cancelling blocks, where the write-once
+//!   engine's `0 + c·x` first terms must not degrade into copies.
 //!
 //! * the packed micro-kernel (`pack::multiply_packed_into`, the base case
 //!   every engine shares) vs its forced-portable scalar fallback and vs
@@ -159,6 +161,61 @@ fn arena_sequential_matches_legacy_golden_fp() {
                     scheme.name
                 );
             }
+        }
+    }
+}
+
+/// An operand built to exercise signed zeros: row 1 of every four is
+/// `-0.0`, the rest repeat a 4 x 4 tile holding `±0.0` and a few small
+/// values, so equal blocks cancel exactly (`x - x = +0.0`) and `-0.0`
+/// reaches every encode, decode and leaf accumulator.
+fn signed_zero_operand(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix<f64> {
+    let pool = [-0.0f64, 0.0, 1.0, -1.0, 0.5, -2.0];
+    let tile = Matrix::<f64>::random(4, 4, rng);
+    let tile = Matrix::from_fn(4, 4, |i, j| {
+        let v = tile[(i, j)];
+        if (i + j) % 3 == 0 {
+            v
+        } else {
+            pool[((v.abs() * 1e6) as usize) % pool.len()]
+        }
+    });
+    Matrix::from_fn(rows, cols, |i, j| {
+        if i % 4 == 1 {
+            -0.0
+        } else {
+            tile[(i % 4, j % 4)]
+        }
+    })
+}
+
+#[cfg(not(feature = "fma"))]
+#[test]
+fn write_once_engine_matches_legacy_on_signed_zeros_and_cancellation() {
+    // The write-once engine assigns every first term as `0 + c·x` rather
+    // than zero-filling and accumulating; a copy or negate there would
+    // turn these `+0.0`s into `-0.0`s. Shapes are non-divisible at every
+    // scheme's grid and scale with the cutoff, so each cutoff recurses
+    // and pads.
+    for (i, scheme) in all_schemes().iter().enumerate() {
+        let (bm, bk, bn) = scheme.dims();
+        for cutoff in LEGACY_CUTOFFS {
+            let (mm, kk, nn) = (cutoff * bm + 1, cutoff * bk + 3, cutoff * bn + 2);
+            let mut rng = StdRng::seed_from_u64((9000 + i * 10 + cutoff) as u64);
+            let a = signed_zero_operand(mm, kk, &mut rng);
+            let b = signed_zero_operand(kk, nn, &mut rng);
+            let engine = multiply_scheme(scheme, &a, &b, cutoff);
+            let legacy = multiply_scheme_legacy(scheme, &a, &b, cutoff);
+            assert!(
+                engine.bits_eq(&legacy),
+                "{} {mm}x{kk}x{nn} cutoff={cutoff}: write-once engine bits differ from legacy",
+                scheme.name
+            );
+            assert!(
+                engine.as_slice().contains(&0.0),
+                "{}: the witness operands should produce zeros in the product",
+                scheme.name
+            );
         }
     }
 }
